@@ -117,6 +117,41 @@ let census_row ~n ~relabels ~pipid ~randoms ~buddies =
     k_agree = agree
   }
 
+(* Iso_min confirmations ---------------------------------------------- *)
+
+type iso_row = {
+  i_n : int;
+  i_pairs : int;
+  i_confirmed : int;
+  i_us : float;
+}
+
+(* The census's confirmation traffic: PIPID draws paired with the
+   first earlier draw of the same fingerprint (its bucket head), timed
+   as one [Iso_min.find] per pair. *)
+let iso_row ~n ~pairs =
+  let pairs = if smoke then min pairs 4 else pairs in
+  let rng = Random.State.make [| 0x150; n |] in
+  let heads = Hashtbl.create 64 in
+  let rec draw acc k =
+    if k = 0 then acc
+    else
+      let g = L.random_pipid_network rng ~n in
+      let fp = Fp.of_network g in
+      match Hashtbl.find_opt heads fp with
+      | Some h -> draw ((g, h) :: acc) (k - 1)
+      | None ->
+          Hashtbl.add heads fp g;
+          draw acc k
+  in
+  let work = draw [] pairs in
+  let confirm () = List.filter (fun (g, h) -> Option.is_some (Mineq.Iso_min.find g h)) work in
+  let confirmed = List.length (confirm ()) in
+  let us = Bench_util.time_us ~reps:(Bench_util.scaled_reps ~reps:3) confirm /. float_of_int pairs in
+  Printf.printf "iso_min_n%-2d      %4d same-fingerprint pairs  %4d confirmed  %8.1f us/confirm\n%!"
+    n pairs confirmed us;
+  { i_n = n; i_pairs = pairs; i_confirmed = confirmed; i_us = us }
+
 (* Streaming census ------------------------------------------------- *)
 
 type stream_row = {
@@ -212,6 +247,10 @@ let () =
   let c4 = census_row ~n:4 ~relabels:(scale 3) ~pipid:(scale 16) ~randoms:(scale 8) ~buddies:(scale 4) in
   let c5 = census_row ~n:5 ~relabels:(scale 3) ~pipid:(scale 12) ~randoms:(scale 8) ~buddies:(scale 4) in
   let censuses = [ c3; c4; c5 ] in
+  let i5 = iso_row ~n:5 ~pairs:200 in
+  let i6 = iso_row ~n:6 ~pairs:200 in
+  let i7 = iso_row ~n:7 ~pairs:100 in
+  let isos = [ i5; i6; i7 ] in
   let s4 = stream_row ~n:4 ~specs:2000 ~generator:Stream.Pipid in
   let s5 = stream_row ~n:5 ~specs:500 ~generator:Stream.Pipid in
   let s4a = stream_row ~n:4 ~specs:1000 ~generator:Stream.Affine in
@@ -260,6 +299,17 @@ let () =
            r.k_pair_ms r.k_bucket_ms (r.k_pair_ms /. r.k_bucket_ms) r.k_agree
            (if i = last then "" else ",")))
     censuses;
+  Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf "  \"iso_min\": [\n";
+  let last = List.length isos - 1 in
+  List.iteri
+    (fun i r ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"n\": %d, \"pairs\": %d, \"confirmed\": %d, \"us_per_confirm\": %.1f}%s\n"
+           r.i_n r.i_pairs r.i_confirmed r.i_us
+           (if i = last then "" else ",")))
+    isos;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"stream\": [\n";
   let last = List.length streams - 1 in

@@ -2,42 +2,46 @@ type mapping = int array array
 
 (* BFS order over the undirected MI-digraph (packed dense ids, flat
    int-array queue) so that — except for component roots — every node
-   appears after one of its neighbours, which lets the backtracking
-   search below prune on already-mapped neighbours immediately. *)
+   appears after one of its neighbours.  [anchor.(i)] is the dense id
+   of the neighbour that discovered [order.(i)] (itself earlier in the
+   order, hence already mapped when the search reaches position [i]),
+   or [-1] for a component root. *)
 let bfs_order (p : Mi_digraph.packed) =
   let per = p.p_per in
   let n = p.p_stages in
   let total = n * per in
   let order = Array.make total 0 in
+  let anchor = Array.make total (-1) in
   let seen = Array.make total false in
   let filled = ref 0 in
   let head = ref 0 in
-  let push id =
+  let push ~from id =
     if not seen.(id) then begin
       seen.(id) <- true;
       order.(!filled) <- id;
+      anchor.(!filled) <- from;
       incr filled
     end
   in
   for root = 0 to total - 1 do
     if not seen.(root) then begin
-      push root;
+      push ~from:(-1) root;
       while !head < !filled do
         let id = order.(!head) in
         incr head;
         let s = id / per in
         if s < n - 1 then begin
-          push p.p_succ.(2 * id);
-          push p.p_succ.((2 * id) + 1)
+          push ~from:id p.p_succ.(2 * id);
+          push ~from:id p.p_succ.((2 * id) + 1)
         end;
         if s > 0 then begin
-          push p.p_pred.(2 * (id - per));
-          push p.p_pred.((2 * (id - per)) + 1)
+          push ~from:id p.p_pred.(2 * (id - per));
+          push ~from:id p.p_pred.((2 * (id - per)) + 1)
         end
       done
     end
   done;
-  order
+  (order, anchor)
 
 let arc_mult_children c x y =
   let cf, cg = Connection.children c x in
@@ -47,13 +51,19 @@ let arc_mult_children c x y =
    onto [b]; calls [on_solution] with each complete mapping (the
    callback may raise to stop early).
 
-   Runs entirely over the packed child tables and predecessor slots:
-   the per-node candidate narrowing of the old implementation (lists
-   of (stage, label) tuples, intersected and sorted per search node)
-   is subsumed by [compatible] — any label passing the arc-
-   multiplicity checks against a mapped neighbour's image is
-   necessarily adjacent to that image — so the explored tree is
-   unchanged while the hot path allocates nothing. *)
+   Runs entirely over the packed child tables and predecessor slots,
+   allocation-free on the hot path.  Candidates for a non-root node
+   come from its BFS anchor: the anchor is adjacent to [x] and already
+   mapped, and [compatible] demands equal arc multiplicities against
+   every mapped neighbour, so any label that passes is adjacent to
+   the anchor's image — one of the (at most two) parents of that
+   image when the anchor is a child of [x], one of its children when
+   the anchor is a parent.  Trying just those, in ascending label
+   order, accepts exactly the labels a full [0 .. per-1] scan would
+   accept and in the same order, so the explored tree, the node count
+   behind [limit], the first mapping found and the automorphism count
+   are those of the full scan.  Only component roots scan every
+   label. *)
 let search ~limit ~on_solution a b =
   let pa = Mi_digraph.packed a in
   let pb = Mi_digraph.packed b in
@@ -61,7 +71,7 @@ let search ~limit ~on_solution a b =
   let per = pa.p_per in
   if n <> pb.p_stages || per <> pb.p_per then ()
   else begin
-    let order = bfs_order pa in
+    let order, anchor = bfs_order pa in
     let map = Array.init n (fun _ -> Array.make per (-1)) in
     let used = Array.init n (fun _ -> Array.make per false) in
     (* Arc multiplicity x -> y in an interleaved binary child table
@@ -72,27 +82,19 @@ let search ~limit ~on_solution a b =
     (* Consistency of x -> y at 0-based stage s against already-mapped
        neighbours: arc multiplicities must match in both gaps. *)
     let compatible s x y =
-      let check_outgoing () =
-        let cha = pa.p_child.(s) in
-        let chb = pb.p_child.(s) in
-        let check t =
-          let mt = map.(s + 1).(t) in
-          mt < 0 || mult cha x t = mult chb y mt
-        in
-        check cha.(2 * x) && check cha.((2 * x) + 1)
-      in
-      let check_incoming () =
-        let cha = pa.p_child.(s - 1) in
-        let chb = pb.p_child.(s - 1) in
-        let base = 2 * (((s - 1) * per) + x) in
-        let check dense_parent =
-          let pl = dense_parent mod per in
-          let mp = map.(s - 1).(pl) in
-          mp < 0 || mult cha pl x = mult chb mp y
-        in
-        check pa.p_pred.(base) && check pa.p_pred.(base + 1)
-      in
-      (s >= n - 1 || check_outgoing ()) && (s = 0 || check_incoming ())
+      (s >= n - 1
+      ||
+      let cha = pa.p_child.(s) and chb = pb.p_child.(s) and next = map.(s + 1) in
+      let t0 = cha.(2 * x) and t1 = cha.((2 * x) + 1) in
+      let m0 = next.(t0) and m1 = next.(t1) in
+      (m0 < 0 || mult cha x t0 = mult chb y m0) && (m1 < 0 || mult cha x t1 = mult chb y m1))
+      && (s = 0
+         ||
+         let cha = pa.p_child.(s - 1) and chb = pb.p_child.(s - 1) and prev = map.(s - 1) in
+         let base = 2 * (((s - 1) * per) + x) in
+         let p0 = pa.p_pred.(base) mod per and p1 = pa.p_pred.(base + 1) mod per in
+         let m0 = prev.(p0) and m1 = prev.(p1) in
+         (m0 < 0 || mult cha p0 x = mult chb m0 y) && (m1 < 0 || mult cha p1 x = mult chb m1 y))
     in
     let nodes_explored = ref 0 in
     let total = n * per in
@@ -103,15 +105,35 @@ let search ~limit ~on_solution a b =
       else begin
         let id = order.(i) in
         let s = id / per and x = id mod per in
-        for y = 0 to per - 1 do
-          if (not used.(s).(y)) && compatible s x y then begin
-            map.(s).(x) <- y;
-            used.(s).(y) <- true;
-            go (i + 1);
-            map.(s).(x) <- -1;
-            used.(s).(y) <- false
-          end
-        done
+        let a = anchor.(i) in
+        if a < 0 then
+          for y = 0 to per - 1 do
+            try_label i s x y
+          done
+        else begin
+          let sa = a / per in
+          let ma = map.(sa).(a mod per) in
+          (* The [b]-neighbours of the anchor's image on stage [s]:
+             its parents when the anchor sits on stage [s + 1], else
+             its children. *)
+          let up = sa > s in
+          let base = if up then 2 * ((s * per) + ma) else 2 * ma in
+          let y0 = if up then pb.p_pred.(base) - (s * per) else pb.p_child.(s - 1).(base) in
+          let y1 =
+            if up then pb.p_pred.(base + 1) - (s * per) else pb.p_child.(s - 1).(base + 1)
+          in
+          let lo = if y0 <= y1 then y0 else y1 and hi = if y0 <= y1 then y1 else y0 in
+          try_label i s x lo;
+          if hi <> lo then try_label i s x hi
+        end
+      end
+    and try_label i s x y =
+      if (not used.(s).(y)) && compatible s x y then begin
+        map.(s).(x) <- y;
+        used.(s).(y) <- true;
+        go (i + 1);
+        map.(s).(x) <- -1;
+        used.(s).(y) <- false
       end
     in
     go 0

@@ -3,10 +3,14 @@
     The paper's Theorem 3 proves existence of an isomorphism onto the
     Baseline; this module actually produces one — a per-stage
     bijection of node labels — via backtracking that exploits the
-    stage structure (BFS ordering, candidates derived from already-
-    mapped neighbours), which is far faster than the generic
+    stage structure, which is far faster than the generic
     {!Mineq_graph.Iso} search it is benchmarked against (ablation
-    X1). *)
+    X1).  Nodes are mapped in BFS order, so every node but a component
+    root follows a mapped neighbour; its only candidates are the at
+    most two labels adjacent to that neighbour's image, tried in
+    ascending order.  The search tree, and so the first mapping found,
+    the [limit] failure points and {!automorphism_count}, are those of
+    trying every label of the stage in ascending order. *)
 
 type mapping = int array array
 (** [mapping.(s).(x)] is the image label (stage [s+1], 0-based array)

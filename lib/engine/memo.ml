@@ -91,11 +91,28 @@ let keying_name = function Structural -> "structural" | Fingerprint -> "fingerpr
 (* Lock striping: a probe touches one shard mutex chosen by the key
    hash, so concurrent workers probing different networks never
    contend.  Counters are per shard, mutated under the shard lock and
-   summed on read. *)
+   summed on read.
 
-type 'a table = S of 'a H.t | F of 'a FH.t
+   Single flight: a miss stores a [Pending] cell under the key before
+   it computes (outside the lock).  A concurrent probe of the same key
+   finds the cell and waits on its condition (with the shard mutex)
+   until the computing probe stores [Done] and broadcasts; it then
+   counts a hit.  So misses equal the distinct keys computed, and
+   every key is computed once.  If the compute raises, its cell is
+   withdrawn and the waiters re-probe, one of them computing in turn. *)
 
-type 'a shard = { table : 'a table; m : Mutex.t; mutable hits : int; mutable misses : int }
+type 'a slot = Done of 'a | Pending of Condition.t
+
+type 'a table = S of 'a slot H.t | F of 'a slot FH.t
+
+type 'a shard = {
+  table : 'a table;
+  m : Mutex.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable pending : int;  (** [Pending] cells in [table] *)
+  mutable dup_computes : int;
+}
 
 let shard_count = 16 (* power of two: shard index is a mask of the hash *)
 
@@ -107,7 +124,7 @@ let create ?(size = 64) ?(keying = Structural) () =
       Array.init shard_count (fun _ ->
           let cap = max 1 (size / shard_count) in
           let table = match keying with Structural -> S (H.create cap) | Fingerprint -> F (FH.create cap) in
-          { table; m = Mutex.create (); hits = 0; misses = 0 })
+          { table; m = Mutex.create (); hits = 0; misses = 0; pending = 0; dup_computes = 0 })
   }
 
 let keying t = t.keying
@@ -119,45 +136,64 @@ let key_hash t g =
 
 let shard t g = t.shards.(key_hash t g land (shard_count - 1))
 
+(* The single-flight protocol over one shard's table, instantiated per
+   keying so the hit path stays one lock and one probe. *)
+module Flight (T : Hashtbl.S) = struct
+  (* Entered with [s.m] held; releases it before returning or raising. *)
+  let rec probe s (tbl : 'a slot T.t) k g f =
+    match T.find_opt tbl k with
+    | Some (Done v) ->
+        s.hits <- s.hits + 1;
+        Mutex.unlock s.m;
+        v
+    | Some (Pending c) ->
+        Condition.wait c s.m;
+        probe s tbl k g f
+    | None -> (
+        s.misses <- s.misses + 1;
+        let c = Condition.create () in
+        T.replace tbl k (Pending c);
+        s.pending <- s.pending + 1;
+        Mutex.unlock s.m;
+        (* Settle our cell, unless [reset] dropped it meanwhile; a
+           value some other probe stored since then makes ours a
+           duplicate compute. *)
+        let settle stored =
+          Mutex.lock s.m;
+          (match T.find_opt tbl k with
+          | Some (Pending c') when c' == c -> (
+              s.pending <- s.pending - 1;
+              match stored with Some v -> T.replace tbl k (Done v) | None -> T.remove tbl k)
+          | Some (Done _) when Option.is_some stored -> s.dup_computes <- s.dup_computes + 1
+          | Some _ | None -> ());
+          Condition.broadcast c;
+          Mutex.unlock s.m
+        in
+        match f g with
+        | v ->
+            settle (Some v);
+            v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            settle None;
+            Printexc.raise_with_backtrace e bt)
+
+  let find_or_compute s tbl k g f =
+    Mutex.lock s.m;
+    probe s tbl k g f
+end
+
+module SF = Flight (H)
+module FF = Flight (FH)
+
 let find_or_compute t g f =
   let s = shard t g in
-  (* Probe under the shard lock; compute outside it.  A value may
-     rarely be computed twice under contention — harmless,
-     computations are deterministic — and the first store wins. *)
   match s.table with
-  | S tbl -> (
-      Mutex.lock s.m;
-      match H.find_opt tbl g with
-      | Some v ->
-          s.hits <- s.hits + 1;
-          Mutex.unlock s.m;
-          v
-      | None ->
-          s.misses <- s.misses + 1;
-          Mutex.unlock s.m;
-          let v = f g in
-          Mutex.lock s.m;
-          if not (H.mem tbl g) then H.add tbl g v;
-          Mutex.unlock s.m;
-          v)
-  | F tbl -> (
+  | S tbl -> SF.find_or_compute s tbl g g f
+  | F tbl ->
       (* [of_network] memoises on the record, so hash and probe share
          one refinement pass. *)
-      let k = Mineq.Fingerprint.of_network g in
-      Mutex.lock s.m;
-      match FH.find_opt tbl k with
-      | Some v ->
-          s.hits <- s.hits + 1;
-          Mutex.unlock s.m;
-          v
-      | None ->
-          s.misses <- s.misses + 1;
-          Mutex.unlock s.m;
-          let v = f g in
-          Mutex.lock s.m;
-          if not (FH.mem tbl k) then FH.add tbl k v;
-          Mutex.unlock s.m;
-          v)
+      FF.find_or_compute s tbl (Mineq.Fingerprint.of_network g) g f
 
 (* Export / import -------------------------------------------------
 
@@ -180,8 +216,8 @@ let export t =
   Array.iter
     (fun s ->
       match s.table with
-      | S tbl -> H.iter (fun k v -> acc := Skey (k, v) :: !acc) tbl
-      | F tbl -> FH.iter (fun k v -> acc := Fkey (k, v) :: !acc) tbl)
+      | S tbl -> H.iter (fun k -> function Done v -> acc := Skey (k, v) :: !acc | Pending _ -> ()) tbl
+      | F tbl -> FH.iter (fun k -> function Done v -> acc := Fkey (k, v) :: !acc | Pending _ -> ()) tbl)
     t.shards;
   for i = Array.length t.shards - 1 downto 0 do
     Mutex.unlock t.shards.(i).m
@@ -199,14 +235,14 @@ let import t entries =
           let s = t.shards.(structural_hash g land (shard_count - 1)) in
           Mutex.lock s.m;
           (match s.table with
-          | S tbl -> if not (H.mem tbl g) then (H.add tbl g v; incr adopted)
+          | S tbl -> if not (H.mem tbl g) then (H.add tbl g (Done v); incr adopted)
           | F _ -> ());
           Mutex.unlock s.m)
       | Fkey (k, v), Fingerprint -> (
           let s = t.shards.(Mineq.Fingerprint.hash k land (shard_count - 1)) in
           Mutex.lock s.m;
           (match s.table with
-          | F tbl -> if not (FH.mem tbl k) then (FH.add tbl k v; incr adopted)
+          | F tbl -> if not (FH.mem tbl k) then (FH.add tbl k (Done v); incr adopted)
           | S _ -> ());
           Mutex.unlock s.m)
       | Skey _, Fingerprint | Fkey _, Structural -> ())
@@ -219,12 +255,14 @@ let hits t = sum_shards t (fun s -> s.hits)
 
 let misses t = sum_shards t (fun s -> s.misses)
 
+let dup_computes t = sum_shards t (fun s -> s.dup_computes)
+
 let table_length = function S tbl -> H.length tbl | F tbl -> FH.length tbl
 
 let size t =
   sum_shards t (fun s ->
       Mutex.lock s.m;
-      let n = table_length s.table in
+      let n = table_length s.table - s.pending in
       Mutex.unlock s.m;
       n)
 
@@ -240,5 +278,7 @@ let reset t =
       (match s.table with S tbl -> H.reset tbl | F tbl -> FH.reset tbl);
       s.hits <- 0;
       s.misses <- 0;
+      s.pending <- 0;
+      s.dup_computes <- 0;
       Mutex.unlock s.m)
     t.shards

@@ -22,12 +22,12 @@
     The cache is domain-safe and lock-striped across {!shard_count}
     shards selected by the key hash: workers probing different
     networks take different locks and never contend.  The compute
-    function runs outside the lock, so a value may rarely be computed
-    twice under contention — harmless because computations are
-    deterministic — and the first store wins.
+    function runs outside the lock, single-flight: the first probe to
+    miss a key marks it in flight, and concurrent probes of that key
+    wait for its value instead of computing it again.
 
-    Hit/miss counters are exposed for the benches (summed over
-    shards). *)
+    Hit/miss/duplicate-compute counters are exposed for the benches
+    (summed over shards). *)
 
 type 'a t
 
@@ -57,20 +57,31 @@ val digest_key : Mineq.Mi_digraph.t -> string
     agreement tests and external tooling; not used by the cache. *)
 
 val find_or_compute : 'a t -> Mineq.Mi_digraph.t -> (Mineq.Mi_digraph.t -> 'a) -> 'a
-(** Cached value for the network, computing (and storing) on miss. *)
+(** Cached value for the network, computing (and storing) on miss.
+    A probe that finds the key in flight on another domain blocks
+    until that value is stored and counts a hit, so {!misses} equals
+    the number of computes.  If the compute raises, the exception
+    propagates, nothing is stored and a waiting probe computes in
+    turn.  The compute function must not probe the same key of the
+    same cache: it would wait on itself. *)
 
 val hits : 'a t -> int
 
 val misses : 'a t -> int
 
+val dup_computes : 'a t -> int
+(** Computes whose value was discarded because another probe had
+    already stored the key.  Only a {!reset} during a compute can
+    cause one; stays 0 otherwise. *)
+
 val size : 'a t -> int
-(** Stored entries. *)
+(** Stored entries (keys in flight excluded). *)
 
 val hit_rate : 'a t -> float
 (** [hits / (hits + misses)]; [nan] before any probe. *)
 
 val reset : 'a t -> unit
-(** Drop all entries and zero the counters. *)
+(** Drop all entries, in-flight keys included, and zero the counters. *)
 
 (** {1 Export / import}
 

@@ -1,20 +1,32 @@
 (* Streaming hash-bucketed census.
 
    Specs flow through the pool in bounded-memory chunks: each chunk
-   generates its networks from per-index derived RNG streams,
-   fingerprints them in parallel, and is then merged serially — in
-   index order — into the running bucket table.  Only one chunk of
-   networks plus one representative per discovered class is ever
-   live, so the memory profile is O(classes + chunk) however many
-   specs stream through.
+   generates its networks from per-index derived RNG streams and
+   fingerprints them in parallel, then runs three steps.
+     1. A serial pre-pass in index order fixes the class head each
+        spec is confirmed against: the first class of its bucket from
+        earlier chunks, or else the first spec of this chunk with the
+        same fingerprint (none for that first spec itself).
+     2. One pool batch runs [Iso_min.find g head] for every spec with
+        a head.
+     3. The serial in-order merge places each spec: it takes the
+        precomputed result for the bucket head and searches the rest
+        of the bucket serially, which only real fingerprint
+        collisions reach.
+   Only one chunk of networks plus one representative per discovered
+   class is ever live, so the memory profile is O(classes + chunk)
+   however many specs stream through.
 
    Jobs-invariance: the chunk size is a function of the spec count
    alone, every network is generated from [Seeds.derive ~root index]
-   (so the stream of specs is fixed by the root seed), the pool
-   writes results at fixed indices, and the merge walks chunks and
-   indices in order.  Nothing about bucket iteration order reaches
-   the output: classes are reported in first appearance order of
-   their first member. *)
+   (so the stream of specs is fixed by the root seed), and the pool
+   writes results at fixed indices.  A bucket's first class is the
+   first spec ever seen with its fingerprint, so the head the pre-pass
+   picks is exactly the class the serial merge compares against first;
+   the batch only moves that comparison off the serial path, and the
+   merge walks chunks and indices in order.  Nothing about bucket
+   iteration order reaches the output: classes are reported in first
+   appearance order of their first member. *)
 
 module Fp = Mineq.Fingerprint
 
@@ -84,8 +96,35 @@ let run_in pool ~root ~n ~specs ~generator =
           (idx, g, Fp.of_network g))
         (Array.init m Fun.id)
     in
-    Array.iter
-      (fun (idx, g, fp) ->
+    (* Pre-pass, in index order: the class head each spec will be
+       confirmed against — its bucket's first class, or the first
+       spec of this chunk with the same fingerprint.  Either way it is
+       the head the serial merge below reaches first. *)
+    let fresh = Hashtbl.create 16 in
+    let heads =
+      Array.map
+        (fun (_, g, fp) ->
+          match Hashtbl.find_opt buckets fp with
+          | Some { contents = c :: _ } -> Some c.rep
+          | Some { contents = [] } | None -> (
+              match Hashtbl.find_opt fresh fp with
+              | Some _ as head -> head
+              | None ->
+                  Hashtbl.add fresh fp g;
+                  None))
+        items
+    in
+    let at_head =
+      Pool.map_array pool
+        (fun i ->
+          let _, g, _ = items.(i) in
+          match heads.(i) with
+          | Some h -> Option.is_some (Mineq.Iso_min.find g h)
+          | None -> false)
+        (Array.init m Fun.id)
+    in
+    Array.iteri
+      (fun i (idx, g, fp) ->
         let bucket =
           match Hashtbl.find_opt buckets fp with
           | Some b -> b
@@ -94,17 +133,19 @@ let run_in pool ~root ~n ~specs ~generator =
               Hashtbl.add buckets fp b;
               b
         in
-        let rec place = function
+        let rec place ~head = function
           | [] ->
               let c = { rep = g; first = idx; members = 1 } in
               bucket := !bucket @ [ c ];
               incr nclasses;
               order := c :: !order
           | c :: rest ->
-              if Option.is_some (Mineq.Iso_min.find g c.rep) then c.members <- c.members + 1
-              else place rest
+              let same =
+                if head then at_head.(i) else Option.is_some (Mineq.Iso_min.find g c.rep)
+              in
+              if same then c.members <- c.members + 1 else place ~head:false rest
         in
-        place !bucket)
+        place ~head:true !bucket)
       items
   done;
   let classes =

@@ -3,7 +3,9 @@
     Generates a spec stream from a root seed, fingerprints it through
     the work-stealing pool in bounded-memory chunks, and buckets by
     {!Mineq.Fingerprint} so the {!Mineq.Iso_min} search only runs
-    within colliding buckets.  Memory is O(classes + chunk size)
+    within a bucket.  Each spec's confirmation against its bucket's
+    first class runs in the pool too; only fingerprint collisions
+    search further, serially.  Memory is O(classes + chunk size)
     regardless of how many specs stream through, and every count in
     the {!summary} is invariant under [--jobs] (chunking depends on
     the spec count alone; specs are generated from per-index derived

@@ -230,6 +230,7 @@ let cache_json name memo : string * Proto.json =
         ("size", Proto.Int (Memo.size memo));
         ("hits", Proto.Int (Memo.hits memo));
         ("misses", Proto.Int (Memo.misses memo));
+        ("dup_computes", Proto.Int (Memo.dup_computes memo));
         ( "hit_rate",
           let r = Memo.hit_rate memo in
           if Float.is_nan r then Proto.Null else Proto.Float r )

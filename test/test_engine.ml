@@ -227,6 +227,45 @@ let test_memo_parallel () =
   check_int "six distinct networks computed once each" 6 (Memo.misses m);
   check_true "the other 66 probes hit" (Memo.hits m = 66)
 
+let test_memo_single_flight () =
+  (* Four real domains probe one key at once behind a slow compute:
+     one computes, the rest wait for its value and count hits. *)
+  let m = Memo.create () in
+  let g = Mineq.Baseline.network 4 in
+  let computes = Atomic.make 0 in
+  let slow g =
+    Atomic.incr computes;
+    Unix.sleepf 0.05;
+    Mineq.Mi_digraph.stages g
+  in
+  (* Element 0 runs inline before the batch is shared out, so it does
+     not probe; the other eight run on all four domains. *)
+  let got =
+    Pool.run ~clamp:false ~jobs:4 (fun pool ->
+        Pool.map_array ~chunk:1 pool
+          (fun i -> if i = 0 then 4 else Memo.find_or_compute m g slow)
+          (Array.init 9 Fun.id))
+  in
+  check_true "every probe sees the value" (Array.for_all (( = ) 4) got);
+  check_int "computed once" 1 (Atomic.get computes);
+  check_int "one miss" 1 (Memo.misses m);
+  check_int "seven hits" 7 (Memo.hits m);
+  check_int "no duplicate computes" 0 (Memo.dup_computes m);
+  check_int "one entry" 1 (Memo.size m)
+
+let test_memo_failed_compute () =
+  (* A compute that raises stores nothing; the next probe computes. *)
+  let m = Memo.create () in
+  let g = Mineq.Baseline.network 3 in
+  (match Memo.find_or_compute m g (fun _ -> failwith "boom") with
+  | _ -> Alcotest.fail "the compute's exception must propagate"
+  | exception Failure _ -> ());
+  check_int "nothing stored" 0 (Memo.size m);
+  check_int "retried" 3 (Memo.find_or_compute m g Mineq.Mi_digraph.stages);
+  check_int "stored after the retry" 1 (Memo.size m);
+  check_int "two misses" 2 (Memo.misses m);
+  check_int "no duplicate computes" 0 (Memo.dup_computes m)
+
 let test_memo_fingerprint_keying () =
   (* The fingerprint keying identifies the whole isomorphism class:
      the six classical networks at a given n are pairwise isomorphic,
@@ -323,6 +362,8 @@ let memo_suite =
   [ quick "verdict caching" test_memo_verdicts;
     quick "structural keys" test_memo_key_structural;
     quick "shared across parallel workers" test_memo_parallel;
+    quick "single flight on a contended key" test_memo_single_flight;
+    quick "failed compute stores nothing" test_memo_failed_compute;
     quick "fingerprint keying collapses iso classes" test_memo_fingerprint_keying
   ]
   @ memo_key_props @ memo_keying_props @ memo_export_props
@@ -474,6 +515,51 @@ let test_stream_generator_names () =
     Stream.all_generators;
   check_bool "unknown generator rejected" true (Stream.generator_of_string "oops" = None)
 
+(* The census merge as a plain serial loop over the whole stream: each
+   spec is compared in turn with every class of its fingerprint bucket.
+   [Stream] confirms against the bucket's first class in the pool and
+   must come out the same at any width. *)
+let reference_census ~root ~n ~specs draw =
+  let buckets = Hashtbl.create 64 and classes = ref [] in
+  for idx = 0 to specs - 1 do
+    let g = draw (Seeds.derive ~root idx) ~n in
+    let fp = Mineq.Fingerprint.of_network g in
+    let bucket = Option.value (Hashtbl.find_opt buckets fp) ~default:[] in
+    match List.find_opt (fun (rep, _, _) -> Option.is_some (Mineq.Iso_min.find g rep)) bucket with
+    | Some (_, _, members) -> incr members
+    | None ->
+        let c = (g, idx, ref 1) in
+        Hashtbl.replace buckets fp (bucket @ [ c ]);
+        classes := c :: !classes
+  done;
+  let rows = List.rev_map (fun (_, first, members) -> (first, !members)) !classes in
+  (rows, Hashtbl.length buckets)
+
+let test_stream_merge_jobs_invariant () =
+  List.iter
+    (fun (name, generator, n, specs, draw, min_collisions) ->
+      let rows, nbuckets = reference_census ~root:1 ~n ~specs draw in
+      let same (s : Stream.summary) =
+        s.Stream.buckets = nbuckets
+        && s.Stream.collisions = List.length rows - nbuckets
+        && List.map (fun (c : Stream.class_row) -> (c.Stream.first_index, c.Stream.count)) s.Stream.classes
+           = rows
+      in
+      let serial = Stream.run ~jobs:1 ~root:1 ~n ~specs ~generator in
+      check_true (name ^ ": the serial run equals the reference merge") (same serial);
+      check_true (name ^ ": collisions reach past the bucket head")
+        (serial.Stream.collisions >= min_collisions);
+      List.iter
+        (fun jobs ->
+          Pool.run ~clamp:false ~jobs (fun pool ->
+              check_true
+                (Printf.sprintf "%s: --jobs %d equals --jobs 1" name jobs)
+                (summary_equal serial (Stream.run_in pool ~root:1 ~n ~specs ~generator))))
+        [ 2; 4 ])
+    [ ("random n=3", Stream.Random_links, 3, 2000, Mineq.Link_spec.random_network, 3);
+      ("pipid n=6", Stream.Pipid, 6, 300, Mineq.Link_spec.random_pipid_network, 0)
+    ]
+
 let stream_props =
   [ qcheck "stream census is jobs-invariant" ~count:5 seed_gen (fun seed ->
         let run jobs = Stream.run ~jobs ~root:seed ~n:3 ~specs:150 ~generator:Stream.Pipid in
@@ -505,6 +591,7 @@ let stream_props =
 let stream_suite =
   [ quick "generators stream and count consistently" test_stream_generators;
     quick "affine stream finds the baseline class" test_stream_affine_baseline;
-    quick "generator names round-trip" test_stream_generator_names
+    quick "generator names round-trip" test_stream_generator_names;
+    quick "pooled confirmations match a serial merge at any width" test_stream_merge_jobs_invariant
   ]
   @ stream_props

@@ -86,6 +86,56 @@ let test_agreement_with_generic_iso () =
     check_bool "same verdict" generic specialized
   done
 
+(* Differential check against the full-scan oracle
+   ([Iso_min_oracle]).  Pairs at n = 3..7: a random or PIPID network
+   against a relabelled copy of itself (same fingerprint, isomorphic)
+   or against an independent draw of the same generator (mostly a
+   different fingerprint; PIPID draws often share the Baseline's). *)
+let pair_case ~lo ~hi =
+  QCheck.make
+    ~print:(fun (n, kind, seed) -> Printf.sprintf "n=%d kind=%d seed=%d" n kind seed)
+    QCheck.Gen.(triple (int_range lo hi) (int_bound 3) (int_bound 1_000_000))
+
+let pair_of (n, kind, seed) =
+  let rng = rng_of seed in
+  let draw () =
+    if kind land 1 = 0 then Mineq.Link_spec.random_network rng ~n
+    else Mineq.Link_spec.random_pipid_network rng ~n
+  in
+  let g = draw () in
+  let h = if kind < 2 then Mineq.Counterexample.relabelled_equivalent rng g else draw () in
+  (g, h)
+
+(* Node limits compared, ending in a bound on the oracle: a
+   non-isomorphic random pair at n = 7 can run unbounded. *)
+let diff_limits = [ 1; 10; 50; 500; 5000; 20_000 ]
+
+let outcome f = match f () with r -> Ok r | exception Failure _ -> Error ()
+
+let diff_props =
+  [ qcheck "find agrees with the full-scan oracle at every node limit" ~count:200
+      (pair_case ~lo:3 ~hi:7)
+      (fun case ->
+        let g, h = pair_of case in
+        List.for_all
+          (fun limit ->
+            let got = outcome (fun () -> I.find ~limit g h) in
+            got = outcome (fun () -> Iso_min_oracle.find ~limit g h)
+            && match got with Ok (Some m) -> I.verify g h m | Ok None | Error _ -> true)
+          diff_limits);
+    qcheck "automorphism counts agree with the oracle at n <= 4" ~count:60
+      (pair_case ~lo:2 ~hi:4)
+      (fun case ->
+        (* Bounded: random networks with double links can have
+           millions of automorphisms at n = 4. *)
+        let g, h = pair_of case in
+        List.for_all
+          (fun net ->
+            outcome (fun () -> I.automorphism_count ~limit:100_000 net)
+            = outcome (fun () -> Iso_min_oracle.automorphism_count ~limit:100_000 net))
+          [ g; h ])
+  ]
+
 let props =
   [ qcheck "Theorem 3 constructively: PIPID Banyans map onto the baseline" ~count:30
       n_and_seed (fun (n, seed) ->
@@ -127,4 +177,4 @@ let suite =
     quick "node limit" test_limit;
     quick "agreement with generic isomorphism" test_agreement_with_generic_iso
   ]
-  @ props
+  @ props @ diff_props
